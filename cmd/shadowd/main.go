@@ -50,6 +50,7 @@ import (
 )
 
 func main() {
+	startGCFloor(gcHeapFloor)
 	if err := run(os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}

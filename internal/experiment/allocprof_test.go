@@ -12,14 +12,9 @@ func TestAllocProfileRun(t *testing.T) {
 	if os.Getenv("SHADOW_ALLOCPROF") == "" {
 		t.Skip("set SHADOW_ALLOCPROF=1 to run")
 	}
-	res, err := RunServerBench(ServerBenchConfig{
-		Sessions:  8,
-		Cycles:    500,
-		FileSize:  8 * 1024,
-		Transport: "tcp",
-	})
+	row, err := Run(Scenario{Sessions: 8, Cycles: 500, FileSize: 8 * 1024, Transport: "tcp"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%s", res)
+	t.Logf("%s", row)
 }

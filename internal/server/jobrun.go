@@ -74,7 +74,10 @@ func (s *Server) maybeSchedule(j *job) {
 		j.mu.Unlock()
 		return
 	}
-	if len(j.waiting) > 0 {
+	// A job whose submit handler is still walking its inputs is not
+	// runnable even when every input registered so far has arrived: the
+	// handler schedules it once the walk is done.
+	if !j.gathered || len(j.waiting) > 0 {
 		j.mu.Unlock()
 		return
 	}
@@ -132,6 +135,13 @@ func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	j.result = res
 	j.state = wire.JobDone
+	// A finished job stays in the job table, but its input bookkeeping is
+	// dead: the snapshot holds every input's content, and keeping it would
+	// grow a long-lived server's heap by the inputs of every job it runs.
+	// Nothing touches these maps again: maybeSchedule runs a job only after
+	// its gathering finished, and a retried submit re-drives only jobs that
+	// are neither terminal nor running.
+	j.snapshot, j.waiting, j.byRef = nil, nil, nil
 	// detail is rendered lazily by status(): a STATUS_REQ is rare, while
 	// formatting two Sprintfs per finished job is pure hot-path cost.
 	j.detail = ""

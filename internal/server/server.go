@@ -634,12 +634,15 @@ func (s *Server) startSession(conn wire.Conn) bool {
 
 // dropSession unregisters a session and re-homes any file retrievals it
 // owned: pulls that coalesced behind this session's fetches would otherwise
-// wait forever on a dead connection.
+// wait forever on a dead connection. Flights are released on every call,
+// not only the one that unregisters: a delivery that failed on another
+// goroutine can drop the session while its own reader is still handling a
+// message, and a pull that reader registers afterwards is released only by
+// the reader's final drop.
 func (s *Server) dropSession(sess *session) {
-	if !s.sessions.remove(sess.id) {
-		return
+	if s.sessions.remove(sess.id) {
+		s.purgePeerWaiters(sess)
 	}
-	s.purgePeerWaiters(sess)
 	if pending := s.flights.ReleaseOwner(sess.id); len(pending) > 0 {
 		s.repullPending(sess.id, pending)
 	}
@@ -745,8 +748,10 @@ type job struct {
 	queuedAt      time.Duration
 	queuedStamped bool
 	// gathered is set once a submit handler has walked every input —
-	// snapshotting, registering waits, issuing pulls. Until then the job
-	// is recoverable only by a retried submit re-driving gatherInputs.
+	// snapshotting it or registering a wait — and gates scheduling. Until
+	// then the job is recoverable only by a retried submit re-driving
+	// gatherInputs; after it, a pull lost with its session is re-issued on
+	// the client's reconnect.
 	gathered bool
 	// waitSpan is the open server.job-wait span, created when the job
 	// becomes runnable and finished when a processor picks it up.

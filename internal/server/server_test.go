@@ -464,6 +464,54 @@ func TestJobPipelineAtWireLevel(t *testing.T) {
 	}
 }
 
+// TestFinishedJobDropsInputSnapshot: a finished job stays in the job table,
+// so it must not keep its input snapshot — the snapshot holds every input's
+// content, and keeping it would grow a long-lived server's heap by the
+// inputs of every cycle it runs.
+func TestFinishedJobDropsInputSnapshot(t *testing.T) {
+	r := newRig(t, Config{})
+	r.hello(t)
+	r.sendFull(t, testRef, 1, []byte("delta\nalpha\n"))
+	r.send(t, &wire.Submit{Script: []byte("sort f.dat\n"), Inputs: []wire.JobInput{
+		{File: testRef, Version: 1, As: "f.dat"},
+	}})
+	var id uint64
+	for done := false; !done; {
+		switch m := r.recv(t).(type) {
+		case *wire.SubmitOK:
+			id = m.Job
+		case *wire.Output:
+			done = true
+		default:
+			t.Fatalf("unexpected %v", m.Kind())
+		}
+	}
+	j, ok := r.srv.lookupJob(id)
+	if !ok {
+		t.Fatalf("job %d left the job table", id)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != wire.JobDone || j.snapshot != nil || j.waiting != nil || j.byRef != nil {
+		t.Fatalf("finished job: state %v, snapshot holds %d inputs, %d waits, %d refs; want done and none",
+			j.state, len(j.snapshot), len(j.waiting), len(j.byRef))
+	}
+}
+
+// TestJobNotScheduledBeforeGathered: an input can arrive through another
+// session while the submit handler is still walking the job's inputs. The
+// job must not run then — its snapshot would lack the inputs not yet
+// walked, and the handler would go on writing into a finished job.
+func TestJobNotScheduledBeforeGathered(t *testing.T) {
+	srv := New(Defaults("super"))
+	defer srv.Close()
+	j := &job{id: 1, state: wire.JobFetching, waiting: map[naming.ShadowID]uint64{}}
+	srv.maybeSchedule(j)
+	if j.state != wire.JobFetching {
+		t.Fatalf("job scheduled mid-gather: state %v", j.state)
+	}
+}
+
 // TestSubmitRetryRedrivesStrandedJob covers the mid-handler death window: a
 // submit handler can create the job and then die before gathering inputs
 // (its SUBMIT_OK send fails when the connection drops), leaving a job in
@@ -703,5 +751,25 @@ func TestRandomProtocolSequencesNeverCrash(t *testing.T) {
 			}
 			return
 		}
+	}
+}
+
+// TestDropSessionReleasesLateFlight: a session can be dropped by another
+// goroutine (a failed output delivery) while its reader is still handling a
+// message and registers a pull. The reader's own final drop must release
+// that flight; otherwise every later pull of the file coalesces behind a
+// dead session and the jobs waiting on it never run.
+func TestDropSessionReleasesLateFlight(t *testing.T) {
+	srv := New(Defaults("super"))
+	defer srv.Close()
+	ss := &session{id: 99}
+	srv.dropSession(ss) // the other goroutine's drop: nothing in flight yet
+	id := srv.dir.Intern(testRef)
+	if !srv.flights.Begin(id, testRef, 3, ss.id, wire.TraceContext{}) {
+		t.Fatal("flight not registered")
+	}
+	srv.dropSession(ss) // the reader's own drop
+	if _, pending := srv.flights.Pending(id); pending {
+		t.Fatal("flight of a dropped session is still pending")
 	}
 }

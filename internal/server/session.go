@@ -907,8 +907,11 @@ func (ss *session) handleSubmit(m *wire.Submit, tc wire.TraceContext) error {
 // the rest, and schedules the job once everything is in hand. Idempotent:
 // inputs already snapshotted or registered as waiting are not re-registered,
 // so a retried submit can re-drive a job whose first gathering was cut short
-// by its session dying mid-handler.
+// by its session dying mid-handler. Every input is snapshotted or registered
+// before any pull goes out: an answer can arrive through another session at
+// once, and the job must not run until the walk has covered all its inputs.
 func (ss *session) gatherInputs(j *job, tc wire.TraceContext) error {
+	var pulls []wire.JobInput
 	for _, in := range j.inputs {
 		id := ss.srv.dir.Intern(in.File)
 		// A job referencing a file is demand on it, whether or not a pull
@@ -936,16 +939,21 @@ func (ss *session) gatherInputs(j *job, tc wire.TraceContext) error {
 		}
 		// Pull even when a wait was already registered: on a re-drive the
 		// session that issued the original pull may be gone, and a
-		// duplicate answer is absorbed by the overtaken check. In a
-		// cluster, inputs another instance owns come from that owner over
-		// a peer link instead of from the client (fetchInput).
-		if err := ss.fetchInput(in.File, in.Version, tc); err != nil {
-			return err
-		}
+		// duplicate answer is absorbed by the overtaken check.
+		pulls = append(pulls, in)
 	}
 	j.mu.Lock()
 	j.gathered = true
 	j.mu.Unlock()
+	// In a cluster, inputs another instance owns come from that owner over
+	// a peer link instead of from the client (fetchInput). A pull that
+	// cannot be sent leaves its wait registered; the client's reconnect
+	// re-issues it (repullWaitingInputs).
+	for _, in := range pulls {
+		if err := ss.fetchInput(in.File, in.Version, tc); err != nil {
+			return err
+		}
+	}
 	ss.srv.maybeSchedule(j)
 	return nil
 }

@@ -231,9 +231,7 @@ func (s *StreamConn) Send(payload []byte) error {
 	s.sendBuf = append(s.sendBuf, payload...)
 	s.sendHW = highWater(s.sendHW, len(s.sendBuf))
 	_, err := s.rw.Write(s.sendBuf)
-	if cap(s.sendBuf) > 64<<10 && s.sendHW <= 64<<10 {
-		// Don't pin a huge scratch after an outlier transfer; keep it
-		// when frames of this size are the steady state.
+	if retainTooBig(cap(s.sendBuf), s.sendHW) {
 		s.sendBuf = nil
 	}
 	return err
@@ -247,6 +245,16 @@ func highWater(hw, n int) int {
 		return n
 	}
 	return hw - (hw-n)/16
+}
+
+// retainTooBig reports whether a scratch buffer of capacity c outgrew the
+// frames it serves: more than twice the high-water mark, and over 128 KB.
+// An outlier transfer then stops pinning memory once the mark decays,
+// while a steady mix of ~64 KB file frames and small control frames keeps
+// its buffer: the mark dips under 64 KB after every small frame, so a
+// rule keyed to 64 KB alone would reallocate on nearly every file.
+func retainTooBig(c, hw int) bool {
+	return c > 2*max(hw, 64<<10)
 }
 
 // Flush pushes buffered frames to the underlying stream; a no-op without a
@@ -287,7 +295,7 @@ func (s *StreamConn) RecvReuse() ([]byte, error) {
 		return nil, err
 	}
 	s.recvHW = highWater(s.recvHW, n)
-	if cap(s.recvBuf) < n || (cap(s.recvBuf) > 64<<10 && s.recvHW <= 64<<10) {
+	if cap(s.recvBuf) < n || retainTooBig(cap(s.recvBuf), s.recvHW) {
 		s.recvBuf = make([]byte, max(n, s.recvHW))
 	}
 	payload := s.recvBuf[:n]

@@ -202,3 +202,66 @@ func TestRecvReuseBidirectionalStress(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchKeptAcrossMixedFrameSizes: a steady mix of ~64 KB file frames
+// and small control frames must reuse one send and one receive scratch,
+// while an outlier frame's buffer is still released once small frames
+// dominate.
+func TestScratchKeptAcrossMixedFrameSizes(t *testing.T) {
+	a, b := net.Pipe()
+	ca, cb := NewStreamConn(a), NewStreamConn(b)
+	defer ca.Close()
+	defer cb.Close()
+	big, small, outlier := make([]byte, 66<<10), make([]byte, 100), make([]byte, 1<<20)
+	var frames [][]byte
+	for i := 0; i < 20; i++ {
+		frames = append(frames, big, small, small)
+	}
+	frames = append(frames, outlier)
+	for i := 0; i < 100; i++ {
+		frames = append(frames, small)
+	}
+
+	recvBufs := make(chan int, 1)
+	go func() {
+		seen := map[*byte]bool{}
+		for range frames[:60] {
+			buf, err := cb.RecvReuse()
+			if err != nil {
+				recvBufs <- -1
+				return
+			}
+			seen[&buf[:1][0]] = true
+		}
+		for range frames[60:] {
+			if _, err := cb.RecvReuse(); err != nil {
+				recvBufs <- -1
+				return
+			}
+		}
+		recvBufs <- len(seen)
+	}()
+	sendBufs := map[*byte]bool{}
+	for i, f := range frames {
+		if err := ca.Send(f); err != nil {
+			t.Fatal(err)
+		}
+		if i < 60 && ca.sendBuf != nil {
+			sendBufs[&ca.sendBuf[:1][0]] = true
+		}
+	}
+	// The first small frame may size the scratch before the first file
+	// frame grows it, so two buffers are the most a steady mix may use.
+	if n := <-recvBufs; n < 0 || n > 2 {
+		t.Fatalf("receiving 20 file frames between control frames used %d buffers, want at most 2", n)
+	}
+	if n := len(sendBufs); n > 2 {
+		t.Fatalf("sending 20 file frames between control frames used %d buffers, want at most 2", n)
+	}
+	if c := cap(cb.recvBuf); c > 128<<10 {
+		t.Fatalf("receive scratch still %d bytes after 100 small frames followed a 1 MB outlier", c)
+	}
+	if c := cap(ca.sendBuf); c > 128<<10 {
+		t.Fatalf("send scratch still %d bytes after 100 small frames followed a 1 MB outlier", c)
+	}
+}

@@ -536,24 +536,6 @@ func (w *Workstation) Connect(ctx context.Context, user string) (*Client, error)
 	return w.ConnectSession(ctx, SessionConfig{Env: DefaultEnvironment(user)})
 }
 
-// ConnectTo opens a shadow session to the named server with a customized
-// environment.
-//
-// Deprecated: ConnectTo predates SessionConfig and adds nothing over it.
-// Use ConnectSession(ctx, SessionConfig{Server: server, Env: environment}).
-func (w *Workstation) ConnectTo(ctx context.Context, server string, environment Environment) (*Client, error) {
-	return w.ConnectSession(ctx, SessionConfig{Server: server, Env: environment})
-}
-
-// ConnectEnv opens a shadow session to the default server (or the
-// environment's DefaultHost) with a customized environment.
-//
-// Deprecated: ConnectEnv predates SessionConfig and adds nothing over it.
-// Use ConnectSession(ctx, SessionConfig{Env: environment}).
-func (w *Workstation) ConnectEnv(ctx context.Context, environment Environment) (*Client, error) {
-	return w.ConnectSession(ctx, SessionConfig{Env: environment})
-}
-
 // SessionConfig customizes a workstation session.
 type SessionConfig struct {
 	// Server names the supercomputer; empty falls back to the
