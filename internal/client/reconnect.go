@@ -53,15 +53,28 @@ func (c *Client) supervise(conn wire.Conn) {
 			}
 			return
 		}
-		c.installConn(next)
+		if !c.installConn(next) {
+			// Close ran while the redial was in flight: it found no
+			// connection to close and is waiting for this goroutine.
+			_ = next.Close()
+			c.finish(nil)
+			return
+		}
 		c.counters.AddReconnect()
 		conn = next
 	}
 }
 
-// installConn publishes a live connection and wakes waiters.
-func (c *Client) installConn(conn wire.Conn) {
+// installConn publishes a live connection and wakes waiters. It refuses,
+// returning false, once the client is closed: Close reads the connection
+// under the same lock, so a connection is either published before Close
+// looks (and Close closes it) or never published at all.
+func (c *Client) installConn(conn wire.Conn) bool {
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return false
+	}
 	c.conn = conn
 	up := c.connUp
 	c.mu.Unlock()
@@ -70,6 +83,7 @@ func (c *Client) installConn(conn wire.Conn) {
 	default:
 		close(up)
 	}
+	return true
 }
 
 // reconnect re-establishes the session with exponential backoff: dial,

@@ -209,6 +209,56 @@ func TestReconnectGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 }
 
+// TestCloseDuringRedial closes the client while its supervisor is in the
+// middle of a redial handshake. The redial then succeeds, and the new
+// connection must not be installed: Close found no connection to sever and
+// waits for the supervisor, which would otherwise read the live connection
+// forever.
+func TestCloseDuringRedial(t *testing.T) {
+	rig, universe := newDialRig(t)
+	cl, fs := rig.connect(Config{
+		User: "u", Universe: universe, Host: "ws",
+		Dial:  rig.dial,
+		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+	})
+	_ = fs.conn.Close()
+
+	// The redial arrives; hold its HELLO_OK until Close has run.
+	var conn *netsim.Conn
+	select {
+	case conn = <-rig.conns:
+	case <-time.After(5 * time.Second):
+		t.Fatal("client never redialed")
+	}
+	redial := &fakeServer{t: t, conn: conn}
+	if _, ok := redial.recv().(*wire.Hello); !ok {
+		t.Fatal("expected hello on the redial")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- cl.Close() }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		cl.mu.Lock()
+		done := cl.closed
+		cl.mu.Unlock()
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close never marked the client closed")
+		}
+	}
+	redial.send(&wire.HelloOK{Session: 2, ServerName: "super"})
+
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung: the redialed connection was installed after Close")
+	}
+	if _, err := conn.Recv(); err == nil {
+		t.Fatal("the redialed connection is still open after Close")
+	}
+}
+
 // TestWaitHonorsContext covers both cancellation and deadline expiry while a
 // job is outstanding.
 func TestWaitHonorsContext(t *testing.T) {

@@ -121,20 +121,15 @@ func RunCycle(cfg Config, size int, percent float64) (Cycle, error) {
 
 // shadowCycle measures the resubmission under shadow editing.
 func shadowCycle(cfg Config, content, edited []byte) (time.Duration, int64, error) {
-	cluster, ws, err := newRig(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer cluster.Close()
-
 	environment := shadow.DefaultEnvironment("sci")
 	environment.Algorithm = cfg.Algorithm
 	environment.Compress = cfg.Compress
-	c, err := ws.ConnectSession(context.Background(), shadow.SessionConfig{Env: environment})
+	r, err := newSession(cfg, nil, environment)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer c.Close()
+	defer r.Close()
+	ws, c := r.ws, r.c
 
 	if err := prime(ws, c, content); err != nil {
 		return 0, 0, err
@@ -146,11 +141,7 @@ func shadowCycle(cfg Config, content, edited []byte) (time.Duration, int64, erro
 		return 0, 0, err
 	}
 	start := ws.Host().Now()
-	job, err := c.Submit(context.Background(), "/u/sci/run.job", []string{"/u/sci/data.dat"}, shadow.SubmitOptions{})
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := c.Wait(context.Background(), job); err != nil {
+	if _, err := submitWait(c, "/u/sci/run.job", "/u/sci/data.dat"); err != nil {
 		return 0, 0, err
 	}
 	elapsed := ws.Host().Now() - start
@@ -161,11 +152,12 @@ func shadowCycle(cfg Config, content, edited []byte) (time.Duration, int64, erro
 
 // batchCycle measures the resubmission under the conventional baseline.
 func batchCycle(cfg Config, content, edited []byte) (time.Duration, int64, error) {
-	cluster, ws, err := newRig(cfg)
+	cluster, err := shadow.NewCluster(shadow.ClusterConfig{Link: cfg.Link})
 	if err != nil {
 		return 0, 0, err
 	}
 	defer cluster.Close()
+	ws := cluster.NewWorkstation("ws")
 
 	rc, err := ws.ConnectRJE("sci")
 	if err != nil {
@@ -176,40 +168,60 @@ func batchCycle(cfg Config, content, edited []byte) (time.Duration, int64, error
 	if err := ws.WriteFile("/u/sci/run.job", []byte(jobScript)); err != nil {
 		return 0, 0, err
 	}
-	if err := ws.WriteFile("/u/sci/data.dat", content); err != nil {
-		return 0, 0, err
+	// Prime with the original, then time the resubmission of the edit.
+	var start time.Duration
+	var before int64
+	for _, data := range [][]byte{content, edited} {
+		if err := ws.WriteFile("/u/sci/data.dat", data); err != nil {
+			return 0, 0, err
+		}
+		start, before = ws.Host().Now(), rc.Metrics().FullBytes
+		job, err := rc.Submit("/u/sci/run.job", []string{"/u/sci/data.dat"})
+		if err != nil {
+			return 0, 0, err
+		}
+		if _, err := rc.Wait(job); err != nil {
+			return 0, 0, err
+		}
 	}
-	job, err := rc.Submit("/u/sci/run.job", []string{"/u/sci/data.dat"})
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := rc.Wait(job); err != nil {
-		return 0, 0, err
-	}
-	before := rc.Metrics()
-
-	if err := ws.WriteFile("/u/sci/data.dat", edited); err != nil {
-		return 0, 0, err
-	}
-	start := ws.Host().Now()
-	job2, err := rc.Submit("/u/sci/run.job", []string{"/u/sci/data.dat"})
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := rc.Wait(job2); err != nil {
-		return 0, 0, err
-	}
-	elapsed := ws.Host().Now() - start
-	after := rc.Metrics()
-	return elapsed, after.FullBytes - before.FullBytes, nil
+	return ws.Host().Now() - start, rc.Metrics().FullBytes - before, nil
 }
 
-func newRig(cfg Config) (*shadow.Cluster, *shadow.Workstation, error) {
-	cluster, err := shadow.NewCluster(shadow.ClusterConfig{Link: cfg.Link})
+// simRig is one simulated server with workstation "ws" connected to it.
+type simRig struct {
+	cluster *shadow.Cluster
+	ws      *shadow.Workstation
+	c       *shadow.Client
+}
+
+// newSession starts a one-server cluster on cfg's link, with the server
+// configured by scfg (nil: the defaults), and connects workstation "ws"
+// under environment.
+func newSession(cfg Config, scfg *shadow.ServerConfig, environment shadow.Environment) (*simRig, error) {
+	cluster, err := shadow.NewCluster(shadow.ClusterConfig{Link: cfg.Link, Server: scfg})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return cluster, cluster.NewWorkstation("ws"), nil
+	r := &simRig{cluster: cluster, ws: cluster.NewWorkstation("ws")}
+	if r.c, err = r.ws.ConnectSession(context.Background(), shadow.SessionConfig{Env: environment}); err != nil {
+		cluster.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *simRig) Close() {
+	_ = r.c.Close()
+	r.cluster.Close()
+}
+
+// submitWait submits script over inputs and waits for its output.
+func submitWait(c *shadow.Client, script string, inputs ...string) (shadow.JobRecord, error) {
+	job, err := c.Submit(context.Background(), script, inputs, shadow.SubmitOptions{})
+	if err != nil {
+		return shadow.JobRecord{}, err
+	}
+	return c.Wait(context.Background(), job)
 }
 
 // prime performs the first submission so the server cache holds the file.
@@ -220,10 +232,6 @@ func prime(ws *shadow.Workstation, c *shadow.Client, content []byte) error {
 	if err := ws.WriteFile("/u/sci/data.dat", content); err != nil {
 		return err
 	}
-	job, err := c.Submit(context.Background(), "/u/sci/run.job", []string{"/u/sci/data.dat"}, shadow.SubmitOptions{})
-	if err != nil {
-		return err
-	}
-	_, err = c.Wait(context.Background(), job)
+	_, err := submitWait(c, "/u/sci/run.job", "/u/sci/data.dat")
 	return err
 }

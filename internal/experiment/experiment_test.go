@@ -261,10 +261,8 @@ func TestLoadSweep(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("cells = %d", len(cells))
 	}
+	// A failed job fails RunLoadSweep itself.
 	for _, c := range cells {
-		if c.Failures != 0 {
-			t.Fatalf("workers=%d: %d failures", c.Workers, c.Failures)
-		}
 		if c.Jobs != 12 {
 			t.Fatalf("workers=%d: jobs=%d", c.Workers, c.Jobs)
 		}

@@ -53,20 +53,15 @@ func RunReverseShadow(cfg Config, inputSize, runs int) (ReverseShadowResult, err
 }
 
 func reverseShadowBytes(cfg Config, inputSize, runs int, wantDelta bool) (int64, int, error) {
-	cluster, ws, err := newRig(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer cluster.Close()
-
 	environment := shadow.DefaultEnvironment("sci")
 	environment.Algorithm = cfg.Algorithm
 	environment.WantOutputDelta = wantDelta
-	c, err := ws.ConnectSession(context.Background(), shadow.SessionConfig{Env: environment})
+	r, err := newSession(cfg, nil, environment)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer c.Close()
+	defer r.Close()
+	ws, c := r.ws, r.c
 
 	gen := workload.NewGenerator(cfg.Seed)
 	content := gen.File(inputSize)
@@ -78,11 +73,7 @@ func reverseShadowBytes(cfg Config, inputSize, runs int, wantDelta bool) (int64,
 		if err := ws.WriteFile("/u/sci/data.dat", content); err != nil {
 			return 0, 0, err
 		}
-		job, err := c.Submit(context.Background(), "/u/sci/run.job", []string{"/u/sci/data.dat"}, shadow.SubmitOptions{})
-		if err != nil {
-			return 0, 0, err
-		}
-		rec, err := c.Wait(context.Background(), job)
+		rec, err := submitWait(c, "/u/sci/run.job", "/u/sci/data.dat")
 		if err != nil {
 			return 0, 0, err
 		}
@@ -108,6 +99,9 @@ type AlgorithmCell struct {
 	Ops       int
 }
 
+// algorithms are the delta algorithms the paper discusses, in table order.
+var algorithms = []diff.Algorithm{diff.HuntMcIlroy, diff.Myers, diff.TichyBlockMove}
+
 // RunAlgorithmComparison measures delta sizes for the three algorithms the
 // paper discusses (§7, §8.3) across modification levels. The edited versions
 // derive from one sequential generator (so they match the serial runs
@@ -120,16 +114,15 @@ func RunAlgorithmComparison(cfg Config, size int, percents []float64) ([]Algorit
 	for i, p := range percents {
 		edits[i] = gen.Modify(base, p, cfg.EditKind)
 	}
-	algs := []diff.Algorithm{diff.HuntMcIlroy, diff.Myers, diff.TichyBlockMove}
-	cells := make([]AlgorithmCell, len(percents)*len(algs))
+	cells := make([]AlgorithmCell, len(percents)*len(algorithms))
 	err := forEachCell(cfg.Workers, len(cells), func(i int) error {
-		pi, ai := i/len(algs), i%len(algs)
-		d, err := diff.Compute(algs[ai], base, edits[pi])
+		pi, ai := i/len(algorithms), i%len(algorithms)
+		d, err := diff.Compute(algorithms[ai], base, edits[pi])
 		if err != nil {
 			return err
 		}
 		cells[i] = AlgorithmCell{
-			Algorithm: algs[ai],
+			Algorithm: algorithms[ai],
 			Percent:   percents[pi],
 			WireBytes: d.WireSize(),
 			Ops:       d.OpCount(),
@@ -142,26 +135,20 @@ func RunAlgorithmComparison(cfg Config, size int, percents []float64) ([]Algorit
 	return cells, nil
 }
 
-// RenderAlgorithmComparison prints the delta-algorithm table.
+// RenderAlgorithmComparison prints the delta-algorithm table. cells come
+// as RunAlgorithmComparison returns them: per percent, one cell for each
+// algorithm in column order.
 func RenderAlgorithmComparison(w io.Writer, size int, cells []AlgorithmCell) {
 	fmt.Fprintf(w, "Delta algorithm comparison (%s file): wire bytes (ops)\n", sizeLabel(size))
 	fmt.Fprintf(w, "%-12s %16s %16s %16s\n", "% modified", "hunt-mcilroy", "myers", "tichy")
-	byPercent := make(map[float64]map[diff.Algorithm]AlgorithmCell)
-	var order []float64
-	for _, c := range cells {
-		if byPercent[c.Percent] == nil {
-			byPercent[c.Percent] = make(map[diff.Algorithm]AlgorithmCell)
-			order = append(order, c.Percent)
+	for i, c := range cells {
+		if i%len(algorithms) == 0 {
+			fmt.Fprintf(w, "%-12s", fmt.Sprintf("%g%%", c.Percent))
 		}
-		byPercent[c.Percent][c.Algorithm] = c
-	}
-	for _, p := range order {
-		fmt.Fprintf(w, "%-12s", fmt.Sprintf("%g%%", p))
-		for _, alg := range []diff.Algorithm{diff.HuntMcIlroy, diff.Myers, diff.TichyBlockMove} {
-			c := byPercent[p][alg]
-			fmt.Fprintf(w, " %10d (%3d)", c.WireBytes, c.Ops)
+		fmt.Fprintf(w, " %10d (%3d)", c.WireBytes, c.Ops)
+		if i%len(algorithms) == len(algorithms)-1 {
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
 	}
 }
 
@@ -252,60 +239,51 @@ func RunCacheSweep(cfg Config, fileSize, files int, capacities []int64) ([]Cache
 }
 
 func cacheSweepOne(cfg Config, fileSize, files int, capacity int64) (CacheSweepCell, error) {
-	scfg := shadow.DefaultServerConfig("super")
-	scfg.CacheCapacity = capacity
-	cluster, err := shadow.NewCluster(shadow.ClusterConfig{Link: cfg.Link, Server: &scfg})
-	if err != nil {
-		return CacheSweepCell{}, err
-	}
-	defer cluster.Close()
-	ws := cluster.NewWorkstation("ws")
-	c, err := ws.Connect(context.Background(), "sci")
-	if err != nil {
-		return CacheSweepCell{}, err
-	}
-	defer c.Close()
-
 	gen := workload.NewGenerator(cfg.Seed)
-	contents := make([][]byte, files)
-	paths := make([]string, files)
+	paths, contents := make([]string, files), make([][]byte, files)
 	var script []byte
-	for i := range contents {
+	for i := range paths {
 		contents[i] = gen.File(fileSize)
 		paths[i] = fmt.Sprintf("/u/sci/f%d.dat", i)
-		if err := ws.WriteFile(paths[i], contents[i]); err != nil {
-			return CacheSweepCell{}, err
-		}
-		script = append(script, []byte(fmt.Sprintf("checksum f%d.dat\n", i))...)
+		script = append(script, fmt.Sprintf("checksum f%d.dat\n", i)...)
 	}
-	if err := ws.WriteFile("/u/sci/run.job", script); err != nil {
-		return CacheSweepCell{}, err
-	}
+	scfg := shadow.DefaultServerConfig("super")
+	scfg.CacheCapacity = capacity
+	full, delta, evictions, err := cacheRounds(cfg, scfg, gen, paths, contents, "/u/sci/run.job", script, 3)
+	return CacheSweepCell{CapacityBytes: capacity, FullBytes: full, DeltaBytes: delta, Evictions: evictions}, err
+}
 
-	// Three rounds of edit-everything-resubmit.
-	for round := 0; round < 3; round++ {
-		job, err := c.Submit(context.Background(), "/u/sci/run.job", paths, shadow.SubmitOptions{})
-		if err != nil {
-			return CacheSweepCell{}, err
+// cacheRounds runs rounds of edit-everything-resubmit against one server
+// configured by scfg: each round submits jobPath's script over every file,
+// then edits each file 2%, in paths order. It returns the bytes the client
+// shipped in full and as deltas, and the evictions the cache made.
+func cacheRounds(cfg Config, scfg shadow.ServerConfig, gen *workload.Generator, paths []string, contents [][]byte, jobPath string, script []byte, rounds int) (full, delta, evictions int64, err error) {
+	r, err := newSession(cfg, &scfg, shadow.DefaultEnvironment("sci"))
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer r.Close()
+	for i, p := range paths {
+		if err := r.ws.WriteFile(p, contents[i]); err != nil {
+			return 0, 0, 0, err
 		}
-		if _, err := c.Wait(context.Background(), job); err != nil {
-			return CacheSweepCell{}, err
+	}
+	if err := r.ws.WriteFile(jobPath, script); err != nil {
+		return 0, 0, 0, err
+	}
+	for round := 0; round < rounds; round++ {
+		if _, err := submitWait(r.c, jobPath, paths...); err != nil {
+			return 0, 0, 0, err
 		}
-		for i := range contents {
+		for i, p := range paths {
 			contents[i] = gen.Modify(contents[i], 2, workload.EditMixed)
-			if err := ws.WriteFile(paths[i], contents[i]); err != nil {
-				return CacheSweepCell{}, err
+			if err := r.ws.WriteFile(p, contents[i]); err != nil {
+				return 0, 0, 0, err
 			}
 		}
 	}
-	m := c.Metrics()
-	st := cluster.Server().Cache().Stats()
-	return CacheSweepCell{
-		CapacityBytes: capacity,
-		FullBytes:     m.FullBytes,
-		DeltaBytes:    m.DeltaBytes,
-		Evictions:     st.Evictions,
-	}, nil
+	m := r.c.Metrics()
+	return m.FullBytes, m.DeltaBytes, r.cluster.Server().Cache().Stats().Evictions, nil
 }
 
 // RenderCacheSweep prints the cache ablation.
@@ -349,68 +327,22 @@ func RunCachePolicyComparison(cfg Config, capacity int64) ([]PolicyCell, error) 
 }
 
 func cachePolicyOne(cfg Config, capacity int64, policy shadow.CachePolicy) (PolicyCell, error) {
+	gen := workload.NewGenerator(cfg.Seed)
+	// One big file plus four small ones; each fits alone, together they
+	// exceed capacity, so the policy must pick victims every round. The
+	// big file is drawn from the generator first, which fixes its content.
+	big := gen.File(12 * 1024)
+	paths := []string{"/s1.dat", "/s2.dat", "/s3.dat", "/s4.dat", "/big.dat"}
+	contents := [][]byte{gen.File(3 * 1024), gen.File(3 * 1024), gen.File(3 * 1024), gen.File(3 * 1024), big}
+	var script []byte
+	for _, p := range paths {
+		script = append(script, "wc "+strings.TrimPrefix(p, "/")+"\n"...)
+	}
 	scfg := shadow.DefaultServerConfig("super")
 	scfg.CacheCapacity = capacity
 	scfg.CachePolicy = policy
-	cluster, err := shadow.NewCluster(shadow.ClusterConfig{Link: cfg.Link, Server: &scfg})
-	if err != nil {
-		return PolicyCell{}, err
-	}
-	defer cluster.Close()
-	ws := cluster.NewWorkstation("ws")
-	c, err := ws.Connect(context.Background(), "sci")
-	if err != nil {
-		return PolicyCell{}, err
-	}
-	defer c.Close()
-
-	gen := workload.NewGenerator(cfg.Seed)
-	// One big file plus four small ones; each fits alone, together they
-	// exceed capacity, so the policy must pick victims every round.
-	names := []string{"/s1.dat", "/s2.dat", "/s3.dat", "/s4.dat", "/big.dat"}
-	files := map[string][]byte{
-		"/big.dat": gen.File(12 * 1024),
-		"/s1.dat":  gen.File(3 * 1024),
-		"/s2.dat":  gen.File(3 * 1024),
-		"/s3.dat":  gen.File(3 * 1024),
-		"/s4.dat":  gen.File(3 * 1024),
-	}
-	var paths []string
-	var script []byte
-	for _, p := range names {
-		if err := ws.WriteFile(p, files[p]); err != nil {
-			return PolicyCell{}, err
-		}
-		paths = append(paths, p)
-		script = append(script, []byte("wc "+strings.TrimPrefix(p, "/")+"\n")...)
-	}
-	if err := ws.WriteFile("/run.job", script); err != nil {
-		return PolicyCell{}, err
-	}
-
-	for round := 0; round < 4; round++ {
-		job, err := c.Submit(context.Background(), "/run.job", paths, shadow.SubmitOptions{})
-		if err != nil {
-			return PolicyCell{}, err
-		}
-		if _, err := c.Wait(context.Background(), job); err != nil {
-			return PolicyCell{}, err
-		}
-		for p, content := range files {
-			files[p] = gen.Modify(content, 2, workload.EditMixed)
-			if err := ws.WriteFile(p, files[p]); err != nil {
-				return PolicyCell{}, err
-			}
-		}
-	}
-	m := c.Metrics()
-	st := cluster.Server().Cache().Stats()
-	return PolicyCell{
-		Policy:     policy,
-		FullBytes:  m.FullBytes,
-		DeltaBytes: m.DeltaBytes,
-		Evictions:  st.Evictions,
-	}, nil
+	full, delta, evictions, err := cacheRounds(cfg, scfg, gen, paths, contents, "/run.job", script, 4)
+	return PolicyCell{Policy: policy, FullBytes: full, DeltaBytes: delta, Evictions: evictions}, err
 }
 
 // RenderCachePolicyComparison prints the eviction policy comparison.
@@ -459,17 +391,12 @@ func flowControlOne(cfg Config, policy shadow.PullPolicy) (FlowControlResult, er
 	scfg.Pull = policy
 	scfg.LoadThreshold = 1
 	scfg.MaxConcurrentJobs = 1
-	cluster, err := shadow.NewCluster(shadow.ClusterConfig{Link: cfg.Link, Server: &scfg})
+	r, err := newSession(cfg, &scfg, shadow.DefaultEnvironment("sci"))
 	if err != nil {
 		return FlowControlResult{}, err
 	}
-	defer cluster.Close()
-	ws := cluster.NewWorkstation("ws")
-	c, err := ws.Connect(context.Background(), "sci")
-	if err != nil {
-		return FlowControlResult{}, err
-	}
-	defer c.Close()
+	defer r.Close()
+	ws, c := r.ws, r.c
 
 	// Occupy the single processor for real wall-clock time.
 	if err := ws.WriteFile("/u/sci/busy.job", []byte("stall 400ms\n")); err != nil {
@@ -497,7 +424,7 @@ func flowControlOne(cfg Config, policy shadow.PullPolicy) (FlowControlResult, er
 	if _, err := c.StatusAll(context.Background()); err != nil {
 		return FlowControlResult{}, err
 	}
-	issued, deferred := cluster.Server().FlowStats()
+	issued, deferred := r.cluster.Server().FlowStats()
 
 	if _, err := c.Wait(context.Background(), busy); err != nil {
 		return FlowControlResult{}, err
@@ -508,12 +435,7 @@ func flowControlOne(cfg Config, policy shadow.PullPolicy) (FlowControlResult, er
 	if err := ws.WriteFile("/u/sci/sum.job", script); err != nil {
 		return FlowControlResult{}, err
 	}
-	paths := []string{"/u/sci/n0.dat", "/u/sci/n1.dat", "/u/sci/n2.dat", "/u/sci/n3.dat"}
-	job, err := c.Submit(context.Background(), "/u/sci/sum.job", paths, shadow.SubmitOptions{})
-	if err != nil {
-		return FlowControlResult{}, err
-	}
-	rec, err := c.Wait(context.Background(), job)
+	rec, err := submitWait(c, "/u/sci/sum.job", "/u/sci/n0.dat", "/u/sci/n1.dat", "/u/sci/n2.dat", "/u/sci/n3.dat")
 	if err != nil {
 		return FlowControlResult{}, err
 	}

@@ -41,15 +41,7 @@ type TransferFigure struct {
 func RunTransferFigure(cfg Config, title string, sizes []int, percents []float64) (*TransferFigure, error) {
 	cfg = cfg.withDefaults()
 	fig := &TransferFigure{Title: title, Link: cfg.Link}
-	cells := make([]Cycle, len(sizes)*len(percents))
-	err := forEachCell(cfg.Workers, len(cells), func(i int) error {
-		cell, err := RunCycle(cfg, sizes[i/len(percents)], percents[i%len(percents)])
-		if err != nil {
-			return err
-		}
-		cells[i] = cell
-		return nil
-	})
+	cells, err := runGrid(cfg, sizes, percents)
 	if err != nil {
 		return nil, err
 	}
@@ -103,21 +95,23 @@ type SpeedupTable struct {
 // concurrently (cfg.Workers) and assemble in grid order, so the table is
 // byte-identical to a serial run.
 func RunSpeedupTable(cfg Config) (*SpeedupTable, error) {
-	cfg = cfg.withDefaults()
-	sizes, percents := workload.TableSizes, workload.TablePercents
-	cells := make([]Cycle, len(sizes)*len(percents))
-	err := forEachCell(cfg.Workers, len(cells), func(i int) error {
-		cell, err := RunCycle(cfg, sizes[i/len(percents)], percents[i%len(percents)])
-		if err != nil {
-			return err
-		}
-		cells[i] = cell
-		return nil
-	})
+	cells, err := runGrid(cfg.withDefaults(), workload.TableSizes, workload.TablePercents)
 	if err != nil {
 		return nil, err
 	}
 	return &SpeedupTable{Cells: cells}, nil
+}
+
+// runGrid runs RunCycle over sizes × percents, size-major, across
+// cfg.Workers.
+func runGrid(cfg Config, sizes []int, percents []float64) ([]Cycle, error) {
+	cells := make([]Cycle, len(sizes)*len(percents))
+	err := forEachCell(cfg.Workers, len(cells), func(i int) error {
+		cell, err := RunCycle(cfg, sizes[i/len(percents)], percents[i%len(percents)])
+		cells[i] = cell
+		return err
+	})
+	return cells, err
 }
 
 // Render prints measured speedups with the paper's values alongside.

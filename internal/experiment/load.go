@@ -1,16 +1,9 @@
 package experiment
 
 import (
-	"context"
-
 	"fmt"
 	"io"
-	"sync"
 	"time"
-
-	"shadowedit/internal/workload"
-
-	shadow "shadowedit"
 )
 
 // LoadCell is one point of the multi-client throughput sweep.
@@ -18,9 +11,8 @@ type LoadCell struct {
 	Workers    int
 	Clients    int
 	Jobs       int
-	Makespan   time.Duration // wall clock, all jobs submitted to delivered
+	Makespan   time.Duration // wall clock, all measured jobs submitted to delivered
 	JobsPerSec float64
-	Failures   int
 }
 
 // RunLoadSweep measures server throughput as MaxConcurrentJobs grows: the
@@ -28,16 +20,33 @@ type LoadCell struct {
 // with several such remote login and file transfer sessions"; here N
 // clients each submit a stream of compute-occupying jobs and we measure how
 // admission-controlled execution scales. Wall-clock, not virtual: job
-// stalls occupy real worker time, which is what the pool bounds.
+// stalls occupy real worker time, which is what the pool bounds. Each point
+// is a cell of the scenario driver (scenario.go) over in-memory pipes; a
+// failed job fails the sweep.
 func RunLoadSweep(cfg Config, clients, jobsPerClient int, workerCounts []int) ([]LoadCell, error) {
 	cfg = cfg.withDefaults()
 	var out []LoadCell
 	for _, workers := range workerCounts {
-		cell, err := loadOne(cfg, clients, jobsPerClient, workers)
+		row, err := Run(Scenario{
+			Label:     fmt.Sprintf("load-%d", workers),
+			Transport: "pipe",
+			Sessions:  clients,
+			Cycles:    jobsPerClient,
+			FileSize:  4 * 1024,
+			Seed:      cfg.Seed,
+			JobCPU:    loadJobStall,
+			Slots:     workers,
+		})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, cell)
+		out = append(out, LoadCell{
+			Workers:    workers,
+			Clients:    clients,
+			Jobs:       row.TotalCycles,
+			Makespan:   time.Duration(row.ElapsedSec * float64(time.Second)),
+			JobsPerSec: row.CyclesPerSec,
+		})
 	}
 	return out, nil
 }
@@ -45,86 +54,12 @@ func RunLoadSweep(cfg Config, clients, jobsPerClient int, workerCounts []int) ([
 // loadJobStall is each job's worker occupancy.
 const loadJobStall = 40 * time.Millisecond
 
-func loadOne(cfg Config, clients, jobsPerClient, workers int) (LoadCell, error) {
-	scfg := shadow.DefaultServerConfig("super")
-	scfg.MaxConcurrentJobs = workers
-	cluster, err := shadow.NewCluster(shadow.ClusterConfig{Link: cfg.Link, Server: &scfg})
-	if err != nil {
-		return LoadCell{}, err
-	}
-	defer cluster.Close()
-
-	type clientRig struct {
-		ws *shadow.Workstation
-		c  *shadow.Client
-	}
-	gen := workload.NewGenerator(cfg.Seed)
-	rigs := make([]clientRig, clients)
-	for i := range rigs {
-		ws := cluster.NewWorkstation(fmt.Sprintf("ws%d", i))
-		c, err := ws.Connect(context.Background(), fmt.Sprintf("user%d", i))
-		if err != nil {
-			return LoadCell{}, err
-		}
-		defer c.Close()
-		if err := ws.WriteFile("/data.dat", gen.File(4*1024)); err != nil {
-			return LoadCell{}, err
-		}
-		script := fmt.Sprintf("stall %s\nchecksum data.dat\n", loadJobStall)
-		if err := ws.WriteFile("/run.job", []byte(script)); err != nil {
-			return LoadCell{}, err
-		}
-		rigs[i] = clientRig{ws: ws, c: c}
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	failures := make(chan int, clients)
-	for _, rig := range rigs {
-		wg.Add(1)
-		go func(rig clientRig) {
-			defer wg.Done()
-			failed := 0
-			for j := 0; j < jobsPerClient; j++ {
-				job, err := rig.c.Submit(context.Background(), "/run.job", []string{"/data.dat"}, shadow.SubmitOptions{})
-				if err != nil {
-					failed++
-					continue
-				}
-				rec, err := rig.c.Wait(context.Background(), job)
-				if err != nil || rec.ExitCode != 0 {
-					failed++
-				}
-			}
-			failures <- failed
-		}(rig)
-	}
-	wg.Wait()
-	close(failures)
-	makespan := time.Since(start)
-
-	cell := LoadCell{
-		Workers:  workers,
-		Clients:  clients,
-		Jobs:     clients * jobsPerClient,
-		Makespan: makespan,
-	}
-	for f := range failures {
-		cell.Failures += f
-	}
-	if makespan > 0 {
-		cell.JobsPerSec = float64(cell.Jobs) / makespan.Seconds()
-	}
-	return cell, nil
-}
-
 // RenderLoadSweep prints the throughput sweep.
 func RenderLoadSweep(w io.Writer, cells []LoadCell) {
 	fmt.Fprintln(w, "Multi-client load sweep: wall-clock throughput vs concurrent job slots")
-	fmt.Fprintf(w, "%-10s %10s %10s %14s %12s %10s\n",
-		"workers", "clients", "jobs", "makespan", "jobs/sec", "failures")
+	fmt.Fprintf(w, "%-10s %10s %10s %14s %12s\n", "workers", "clients", "jobs", "makespan", "jobs/sec")
 	for _, c := range cells {
-		fmt.Fprintf(w, "%-10d %10d %10d %14v %12.1f %10d\n",
-			c.Workers, c.Clients, c.Jobs, c.Makespan.Round(time.Millisecond), c.JobsPerSec, c.Failures)
+		fmt.Fprintf(w, "%-10d %10d %10d %14v %12.1f\n",
+			c.Workers, c.Clients, c.Jobs, c.Makespan.Round(time.Millisecond), c.JobsPerSec)
 	}
 }

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"context"
-
 	"fmt"
 	"io"
 	"time"
@@ -61,16 +59,12 @@ func RunBackgroundOverlap(cfg Config, size int) (OverlapResult, error) {
 }
 
 func overlapCycle(cfg Config, size int, warm bool) (time.Duration, error) {
-	cluster, ws, err := newRig(cfg)
+	r, err := newSession(cfg, nil, shadow.DefaultEnvironment("sci"))
 	if err != nil {
 		return 0, err
 	}
-	defer cluster.Close()
-	c, err := ws.Connect(context.Background(), "sci")
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
+	defer r.Close()
+	ws, c := r.ws, r.c
 	sed := ws.NewShadowEditor(c)
 
 	gen := workload.NewGenerator(cfg.Seed)
@@ -86,69 +80,46 @@ func overlapCycle(cfg Config, size int, warm bool) (time.Duration, error) {
 		return 0, err
 	}
 	// Prime: first submission caches both files.
-	job, err := c.Submit(context.Background(), "/u/sci/run.job", []string{"/u/sci/a.dat", "/u/sci/b.dat"}, shadow.SubmitOptions{})
-	if err != nil {
-		return 0, err
-	}
-	if _, err := c.Wait(context.Background(), job); err != nil {
+	files := []string{"/u/sci/a.dat", "/u/sci/b.dat"}
+	if _, err := submitWait(c, "/u/sci/run.job", files...); err != nil {
 		return 0, err
 	}
 
-	// Two editing sessions, 10% each.
+	// Two editing sessions, 10% each, with think time after each.
 	editA := func(b []byte) ([]byte, error) { return gen.Modify(b, 10, workload.EditMixed), nil }
-	if warm {
-		// The shadow editor notifies at session end; the user then
-		// spends think time editing the next file while the transfer
-		// proceeds in the background. In the simulation the transfer's
-		// virtual arrival stamp is fixed when it is sent, so wait (in
-		// real time) for the background exchange to finish before
-		// advancing the virtual clock — exactly the semantics of a
-		// transfer running concurrently with the user's pause.
-		res, err := sed.Edit("/u/sci/a.dat", shadow.EditorFunc(editA))
-		if err != nil {
-			return 0, err
-		}
-		if err := awaitAck(c, res.File, res.Version); err != nil {
-			return 0, err
-		}
-		ws.Host().Process(thinkTime)
-		res, err = sed.Edit("/u/sci/b.dat", shadow.EditorFunc(editA))
-		if err != nil {
-			return 0, err
-		}
-		if err := awaitAck(c, res.File, res.Version); err != nil {
-			return 0, err
-		}
-		ws.Host().Process(thinkTime)
-	} else {
-		// Cold: edit both files without shadow notifications (the
-		// conventional habit); everything transfers at submit time.
-		a, err := ws.ReadFile("/u/sci/a.dat")
-		if err != nil {
-			return 0, err
-		}
-		edited, _ := editA(a)
-		if err := ws.WriteFile("/u/sci/a.dat", edited); err != nil {
-			return 0, err
-		}
-		ws.Host().Process(thinkTime)
-		b, err := ws.ReadFile("/u/sci/b.dat")
-		if err != nil {
-			return 0, err
-		}
-		edited, _ = editA(b)
-		if err := ws.WriteFile("/u/sci/b.dat", edited); err != nil {
-			return 0, err
+	for _, p := range files {
+		if warm {
+			// The shadow editor notifies at session end; the user then
+			// spends think time editing the next file while the transfer
+			// proceeds in the background. In the simulation the transfer's
+			// virtual arrival stamp is fixed when it is sent, so wait (in
+			// real time) for the background exchange to finish before
+			// advancing the virtual clock — exactly the semantics of a
+			// transfer running concurrently with the user's pause.
+			res, err := sed.Edit(p, shadow.EditorFunc(editA))
+			if err != nil {
+				return 0, err
+			}
+			if err := awaitAck(c, res.File, res.Version); err != nil {
+				return 0, err
+			}
+		} else {
+			// Cold: edit without shadow notifications (the conventional
+			// habit); everything transfers at submit time.
+			content, err := ws.ReadFile(p)
+			if err != nil {
+				return 0, err
+			}
+			edited, _ := editA(content)
+			if err := ws.WriteFile(p, edited); err != nil {
+				return 0, err
+			}
 		}
 		ws.Host().Process(thinkTime)
 	}
 
 	start := ws.Host().Now()
-	job2, err := c.Submit(context.Background(), "/u/sci/run.job", []string{"/u/sci/a.dat", "/u/sci/b.dat"}, shadow.SubmitOptions{})
-	if err != nil {
-		return 0, err
-	}
-	if _, err := c.Wait(context.Background(), job2); err != nil {
+	if _, err := submitWait(c, "/u/sci/run.job", files...); err != nil {
 		return 0, err
 	}
 	return ws.Host().Now() - start, nil
